@@ -23,11 +23,12 @@ handler via ``set_defaults(func=...)``), so adding a command is one parser
 block plus one function.  ``sweep`` runs any
 :class:`~repro.experiments.scenario.ScenarioSpec` file (TOML or JSON) and
 streams per-point results as they complete; ``sweep --figures`` renders a
-registered figure spec (or a figure-shaped spec file) into the same
-FigureResult series as ``lad-repro figure``.  With ``--cache-dir`` the
-trained thresholds, victim samples and per-point attacked scores persist
-across runs, so a re-run skips the training pass entirely and an
-interrupted sweep resumes by recomputing only the missing points.
+registered figure spec (or a figure-shaped spec file) as a paper figure,
+and ``figure X`` is the same command for a registered figure id.  With
+``--cache-dir`` the trained thresholds, victim samples and per-point
+attacked scores persist across runs, so a re-run skips the training pass
+entirely and an interrupted sweep resumes by recomputing only the missing
+points.
 
 ``serve`` turns a trained scenario into a streaming verification service
 (JSONL over stdin or TCP) with micro-batching and bounded-queue
@@ -69,7 +70,10 @@ def _workers_parent() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="worker processes for the per-point scoring (0 = serial)",
+        help=(
+            "worker processes (0 = serial): fig9/figl/figm fan their "
+            "densities or localizers, everything else the per-point scoring"
+        ),
     )
     return parent
 
@@ -487,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
             timeline_parent,
         ],
     )
-    fig.set_defaults(func=_cmd_figure)
+    # ``figure X`` is ``sweep --figures X`` for a registered figure id.
+    fig.set_defaults(func=_cmd_sweep_figures)
     fig.add_argument(
         "figure_id",
         choices=[
@@ -679,37 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.experiments.config import SimulationConfig
-    from repro.experiments.figures import FIGURE_SPECS, run_figure_spec
-    from repro.experiments.reporting import format_figure
-
-    config = SimulationConfig(
-        group_size=args.group_size, radio_range=args.radio_range, seed=args.seed
-    )
-    # Build the figure's declarative spec, fold in any --localizer /
-    # --beacon-* overrides, and render through the same dispatch as
-    # ``sweep --figures`` (the two paths are pinned equal by tests and CI).
-    spec = FIGURE_SPECS[args.figure_id](config=config, scale=args.scale)
-    spec = _apply_localizer_overrides(spec, args)
-    spec = _apply_backend_overrides(spec, args)
-    spec = _apply_timeline_overrides(spec, args)
-    result = run_figure_spec(
-        spec,
-        figure_id=args.figure_id,
-        workers=args.workers,
-        store=args.cache_dir,
-    )
-    print(format_figure(result))
-    if args.json is not None:
-        result.to_json(args.json)
-        print(f"\n[written] {args.json}")
-    if args.csv is not None:
-        result.to_csv(args.csv)
-        print(f"[written] {args.csv}")
-    return 0
-
-
 def _print_cache_stats(store) -> None:
     """One-line cache summary (plus the per-point sweep cache when used)."""
     if store is None:
@@ -788,7 +762,7 @@ def _sweep_status(spec, store, points, densities, localizers) -> int:
 
 
 def _cmd_sweep_figures(args: argparse.Namespace) -> int:
-    """The ``sweep --figures`` mode: evaluate a figure spec end to end."""
+    """``sweep --figures`` (and ``figure``): render a figure spec end to end."""
     from repro.experiments.config import SimulationConfig
     from repro.experiments.figures import FIGURE_SPECS, run_figure_spec
     from repro.experiments.reporting import format_figure
@@ -796,10 +770,12 @@ def _cmd_sweep_figures(args: argparse.Namespace) -> int:
     from repro.experiments.store import ArtifactStore
 
     store = ArtifactStore(args.cache_dir) if args.cache_dir is not None else None
-    # Same id normalisation as run_figure_spec, so the CLI accepts
-    # exactly the ids the library does.
-    spec_arg = str(args.spec).strip().lower()
-    if args.spec.is_file():
+    # ``figure X`` always names a registered figure; ``sweep --figures``
+    # takes a spec file first.  Same id normalisation as run_figure_spec,
+    # so the CLI accepts exactly the ids the library does.
+    figure_id = getattr(args, "figure_id", None)
+    spec_arg = str(figure_id or args.spec).strip().lower()
+    if figure_id is None and args.spec.is_file():
         spec = ScenarioSpec.from_file(args.spec).scaled(args.scale)
     elif spec_arg in FIGURE_SPECS:
         config = SimulationConfig(

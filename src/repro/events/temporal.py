@@ -39,8 +39,7 @@ Determinism contract (the same one the sweep honours):
 from __future__ import annotations
 
 import json
-import warnings
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (
@@ -60,7 +59,7 @@ from repro.core.metrics import resolve_metric
 from repro.core.verdict import Verdict, verdicts_from_scores
 from repro.events.engine import EventEngine
 from repro.events.timeline import TimelineSpec
-from repro.experiments.sweep import FAN_OUT_ERRORS, LocalizerModalities, SweepPoint
+from repro.experiments.sweep import LocalizerModalities, SweepPoint, run_tasks
 from repro.network.neighbors import NeighborIndex
 from repro.utils.rng import RandomState
 
@@ -760,8 +759,12 @@ class TemporalRunner:
                 )
                 if store.probe("temporal", keys[i]):
                     warm_indices.add(i)
-        cold_records = self._iter_cold(
-            [points[i] for i in range(len(points)) if i not in warm_indices]
+        cold_records = run_tasks(
+            self._simulate,
+            [points[i] for i in range(len(points)) if i not in warm_indices],
+            self._workers,
+            worker_fn=_simulate_point_worker,
+            worker_setup=self._pool_state,
         )
         for i, point in enumerate(points):
             threshold = session.threshold(
@@ -775,14 +778,7 @@ class TemporalRunner:
                 if arrays is None:
                     # Vanished or corrupt since the probe (quarantined by
                     # the failed load): recompute this point inline.
-                    arrays = _simulate_point(
-                        self._base_world(),
-                        session.knowledge,
-                        session.config.seed,
-                        self._timeline,
-                        point,
-                        localizer=self._localizer_view(),
-                    )
+                    arrays = self._simulate(point)
                 if store is not None and keys[i] is not None:
                     store.save(
                         "temporal",
@@ -800,35 +796,19 @@ class TemporalRunner:
                 false_positive_rate=false_positive_rate,
             )
 
-    def _iter_cold(self, points: List[SweepPoint]) -> Iterator[Dict[str, np.ndarray]]:
-        """Simulate store-missing points in grid order (pool or serial)."""
-        yielded = 0
-        if self._workers > 1 and points:
-            try:
-                for record in self._iter_parallel(points):
-                    yield record
-                    yielded += 1
-            except FAN_OUT_ERRORS as exc:
-                warnings.warn(
-                    f"parallel temporal run unavailable on this platform "
-                    f"({exc!r}); falling back to the serial path",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        for point in points[yielded:]:
-            yield _simulate_point(
-                self._base_world(),
-                self._session.knowledge,
-                self._session.config.seed,
-                self._timeline,
-                point,
-                localizer=self._localizer_view(),
-            )
+    def _simulate(self, point: SweepPoint) -> Dict[str, np.ndarray]:
+        """Simulate one point in-process against the cached base world."""
+        return _simulate_point(
+            self._base_world(),
+            self._session.knowledge,
+            self._session.config.seed,
+            self._timeline,
+            point,
+            localizer=self._localizer_view(),
+        )
 
-    def _iter_parallel(
-        self, points: List[SweepPoint]
-    ) -> Iterator[Dict[str, np.ndarray]]:
-        """Fan the points over a pool sharing the picklable session state."""
+    def _pool_state(self):
+        """The pool's ``(initializer, initargs)``: the picklable session state."""
         session = self._session
         payload = {
             "generator": session.generator,
@@ -839,12 +819,7 @@ class TemporalRunner:
             "timeline": self._timeline,
             "localizer_view": self._localizer_view(),
         }
-        with ProcessPoolExecutor(
-            max_workers=self._workers,
-            initializer=_init_temporal_worker,
-            initargs=(payload,),
-        ) as pool:
-            yield from pool.map(_simulate_point_worker, points)
+        return nullcontext((_init_temporal_worker, (payload,)))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -88,8 +88,8 @@ FIGURE_SPECS: Dict[str, Callable[..., ScenarioSpec]] = {
 }
 
 #: Registry mapping figure ids to their spec renderers
-#: (``render(spec, *, session=None, workers=0, density_workers=0,
-#: store=None)`` → :class:`FigureResult`).
+#: (``render(spec, *, session=None, workers=0, store=None)`` →
+#: :class:`FigureResult`).
 FIGURE_RENDERERS: Dict[str, Callable[..., FigureResult]] = {
     "fig4": fig4.render,
     "fig5": fig5.render,

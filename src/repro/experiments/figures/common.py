@@ -9,44 +9,37 @@ spec's grid through a :class:`~repro.experiments.session.LadSession` /
 :class:`~repro.experiments.sweep.SweepRunner` and fold the scored points
 into :class:`~repro.experiments.results.FigureResult` containers, so the
 per-figure modules reduce to a spec builder plus one render call.
+
+Figures 9, L and M need one session — one training pass — per value of a
+*session axis* (the density ``m`` or the localization scheme);
+:func:`session_axis_rates` is their shared engine.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Union
 
+from repro.core.evaluation import DetectionOutcome
 from repro.core.roc import RocCurve
 from repro.experiments.config import SimulationConfig
 from repro.experiments.results import FigureResult, PanelResult, SeriesResult
 from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.session import LadSession
 from repro.experiments.store import ArtifactStore
-from repro.experiments.sweep import SweepPoint
+from repro.experiments.sweep import SweepPoint, run_tasks
+from repro.localization.base import LOCALIZERS
+from repro.localization.beacons import BeaconSpec
 
 __all__ = [
     "resolve_session",
     "resolve_simulation",
-    "resolve_store_root",
     "roc_series",
     "run_roc_figure",
     "run_rate_figure",
     "run_figure_spec",
+    "session_axis_rates",
     "DEFAULT_ROC_FP_GRID",
 ]
-
-
-def resolve_store_root(store: Union[ArtifactStore, str, None]) -> Optional[str]:
-    """Normalise a store argument to its root path.
-
-    The path form is what figure drivers ship to worker processes: each
-    worker re-opens the store by path (content is shared on disk, the
-    hit/miss counters stay per-process).
-    """
-    if store is None:
-        return None
-    if isinstance(store, ArtifactStore):
-        return str(store.root)
-    return str(store)
 
 #: False-positive grid at which ROC curves are sampled when rendered as
 #: series (the paper's ROC plots span 0 .. ~1 with most action below 0.2).
@@ -103,7 +96,6 @@ def run_figure_spec(
     figure_id: Optional[str] = None,
     session: Optional[LadSession] = None,
     workers: int = 0,
-    density_workers: int = 0,
     store: Union[ArtifactStore, str, None] = None,
 ) -> FigureResult:
     """Evaluate a figure-shaped spec end to end and render its figure.
@@ -125,13 +117,66 @@ def run_figure_spec(
             f"no figure renderer named {key!r}; "
             f"available: {sorted(FIGURE_RENDERERS)}"
         )
-    return renderer(
-        spec,
-        session=session,
-        workers=workers,
-        density_workers=density_workers,
-        store=store,
+    return renderer(spec, session=session, workers=workers, store=store)
+
+
+def _session_rates(task) -> Dict[SweepPoint, DetectionOutcome]:
+    """Detection rates of one session on a spec's session axis.
+
+    Module-level so :func:`run_tasks` can ship it to worker processes;
+    every stream inside is derived from the config seed and parameter
+    names, so the result is independent of where (and in which order) the
+    sessions run.  A worker receives a pickled copy of the store: content
+    is shared on disk, the hit/miss counters stay per-process.
+    """
+    spec, axis, value, store, workers = task
+    session = spec.session(store=store, **{axis: value})
+    return session.sweep(workers=workers).detection_rates(
+        spec.points(), false_positive_rate=spec.false_positive_rate
     )
+
+
+def session_axis_rates(
+    spec: ScenarioSpec,
+    axis: str,
+    values: Sequence[Any],
+    *,
+    workers: int = 0,
+    store: Union[ArtifactStore, str, None] = None,
+) -> Dict[Any, Dict[SweepPoint, DetectionOutcome]]:
+    """``{axis value: {SweepPoint: DetectionOutcome}}`` over a session axis.
+
+    *axis* is the :meth:`ScenarioSpec.session` keyword (``"group_size"``
+    or ``"localizer"``); each of *values* gets its own session and so its
+    own training pass.  With more than one session, *workers* fans the
+    sessions over processes and each sweeps its grid serially; with one,
+    *workers* fans that session's point grid instead.  In-process
+    sessions share the caller's *store* object, so its hit/miss counters
+    add up across the axis.
+    """
+    values = list(values)
+    fan_sessions = len(values) > 1
+    tasks = [
+        (spec, axis, value, store, 0 if fan_sessions else workers)
+        for value in values
+    ]
+    rates = run_tasks(_session_rates, tasks, workers if fan_sessions else 0)
+    return dict(zip(values, rates))
+
+
+def _effective_beacons(spec: ScenarioSpec) -> Optional[dict]:
+    """The beacon spec the sessions will actually deploy (for reporting).
+
+    Sessions running a beacon-based scheme fall back to the
+    :class:`BeaconSpec` defaults when the spec carries none, so the figure
+    parameters record that effective spec instead of ``None``.
+    """
+    if spec.beacons is not None:
+        return spec.beacons.as_dict()
+    needs_beacons = any(
+        LOCALIZERS.get(name).requires_beacons for name in spec.localizer_values()
+    )
+    return BeaconSpec().as_dict() if needs_beacons else None
 
 
 def roc_series(

@@ -66,12 +66,10 @@ def render(
     *,
     session: Optional[LadSession] = None,
     workers: int = 0,
-    density_workers: int = 0,
     store=None,
     fp_grid: Sequence[float] = DEFAULT_ROC_FP_GRID,
 ) -> FigureResult:
     """Render Figure 4 from an already-built scenario spec."""
-    del density_workers  # single-density figure
     session = resolve_session(session, spec=scenario, store=store)
     return run_roc_figure(
         scenario,

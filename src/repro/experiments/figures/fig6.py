@@ -41,7 +41,6 @@ def render(
     *,
     session: Optional[LadSession] = None,
     workers: int = 0,
-    density_workers: int = 0,
     store=None,
     fp_grid: Sequence[float] = DEFAULT_ROC_FP_GRID,
 ) -> FigureResult:
@@ -50,7 +49,6 @@ def render(
         scenario,
         session=session,
         workers=workers,
-        density_workers=density_workers,
         store=store,
         fp_grid=fp_grid,
     )

@@ -71,11 +71,9 @@ def render(
     *,
     session: Optional[LadSession] = None,
     workers: int = 0,
-    density_workers: int = 0,
     store=None,
 ) -> FigureResult:
     """Render Figure 8 from an already-built scenario spec."""
-    del density_workers  # single-density figure
     session = resolve_session(session, spec=scenario, store=store)
     return run_rate_figure(
         scenario,

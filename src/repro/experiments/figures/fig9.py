@@ -10,8 +10,10 @@ localization error of the beaconless scheme shrinks as m grows, which is
 exactly the effect the figure demonstrates), so this is the most expensive
 figure; the default density sweep is therefore a small set of
 representative points and can be widened via the ``group_sizes`` argument.
-With an artifact store attached, each density's trained state persists, so
-re-runs skip every training pass.
+``workers`` fans the densities over processes (each sweeps its ``(D, x)``
+grid serially); with a single density it fans that grid instead.  With an
+artifact store attached, each density's trained state persists, so re-runs
+skip every training pass.
 
 Expected qualitative outcome: the detection rate improves with density,
 because denser networks localise more accurately and admit tighter benign
@@ -20,17 +22,14 @@ thresholds.
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.core.evaluation import DetectionOutcome
 from repro.experiments.config import SimulationConfig
-from repro.experiments.figures.common import resolve_store_root
+from repro.experiments.figures.common import session_axis_rates
 from repro.experiments.results import FigureResult, PanelResult, SeriesResult
 from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.session import LadSession
-from repro.experiments.sweep import FAN_OUT_ERRORS, SweepPoint
+from repro.experiments.sweep import SweepPoint
 
 __all__ = [
     "run",
@@ -84,52 +83,20 @@ def spec(
     ).scaled(scale)
 
 
-def _density_rates(
-    args: Tuple[ScenarioSpec, int, Optional[str]],
-) -> Tuple[int, Dict[SweepPoint, DetectionOutcome]]:
-    """Detection rates of one density value (its own training pass).
-
-    Module-level so the density fan-out can ship it to worker processes;
-    every stream inside is derived from the config seed and parameter
-    names, so the result is independent of where (and in which order) the
-    densities run.  Workers re-open the artifact store by path (counters
-    stay per-process, content is shared).
-    """
-    scenario, group_size, store_root = args
-    session = scenario.session(group_size=group_size, store=store_root)
-    rates = session.sweep(workers=0).detection_rates(
-        scenario.points(), false_positive_rate=scenario.false_positive_rate
-    )
-    return int(group_size), rates
-
-
 def render(
     scenario: ScenarioSpec,
     *,
     session: Optional[LadSession] = None,
     workers: int = 0,
-    density_workers: int = 0,
     store=None,
 ) -> FigureResult:
     """Render Figure 9 from an already-built scenario spec.
 
     The *session* argument is ignored (each density needs its own
     session); it is accepted for interface uniformity with the other
-    figure renderers.
-
-    Parameters
-    ----------
-    workers:
-        Worker processes for the per-density ``(D, x)`` sweep (only used
-        when ``density_workers`` is off).
-    density_workers:
-        When ``> 1``, fan the *density axis* over this many worker
-        processes instead: each density value needs its own deployment and
-        threshold-training pass, which dwarfs the per-density sweep, so
-        this is the axis worth parallelising.  Results are identical to the
-        serial run (every random stream is derived from the config seed and
-        the parameter names); platforms without process support fall back
-        to the serial path with a warning.
+    figure renderers.  *workers* fans the densities (see
+    :func:`~repro.experiments.figures.common.session_axis_rates`); the
+    result is identical to the serial run.
     """
     del session
 
@@ -142,36 +109,13 @@ def render(
             "attack": scenario.attacks[0],
         },
     )
-
-    # One session (with its own training) per density value; the
-    # per-density (D, x) grid runs through its sweep runner.  With
-    # ``density_workers`` the densities themselves fan out across worker
-    # processes (the training pass is the expensive part, and each density
-    # needs its own).
-    rates_at: Dict[int, Dict[SweepPoint, DetectionOutcome]] = {}
-    store_root = resolve_store_root(store)
-    tasks = [(scenario, m, store_root) for m in scenario.density_values()]
-    if density_workers > 1:
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(density_workers, len(tasks))
-            ) as pool:
-                rates_at = dict(pool.map(_density_rates, tasks))
-        except FAN_OUT_ERRORS as exc:
-            warnings.warn(
-                f"density fan-out unavailable on this platform ({exc!r}); "
-                "running the densities serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            rates_at = {}
-    if not rates_at:
-        for m in scenario.density_values():
-            session = scenario.session(group_size=m, store=store_root)
-            rates_at[int(m)] = session.sweep(workers=workers).detection_rates(
-                scenario.points(),
-                false_positive_rate=scenario.false_positive_rate,
-            )
+    rates_at = session_axis_rates(
+        scenario,
+        "group_size",
+        scenario.density_values(),
+        workers=workers,
+        store=store,
+    )
 
     for degree in scenario.degrees:
         panel = PanelResult(
@@ -181,7 +125,7 @@ def render(
         )
         for fraction in scenario.fractions:
             rates = [
-                rates_at[int(m)][
+                rates_at[m][
                     SweepPoint(
                         scenario.metrics[0],
                         scenario.attacks[0],
@@ -212,7 +156,6 @@ def run(
     fractions: Sequence[float] = COMPROMISED_FRACTIONS,
     false_positive_rate: float = FALSE_POSITIVE_RATE,
     workers: int = 0,
-    density_workers: int = 0,
     store=None,
 ) -> FigureResult:
     """Reproduce Figure 9 and return its series (see :func:`render`)."""
@@ -227,6 +170,5 @@ def run(
         ),
         session=simulation,
         workers=workers,
-        density_workers=density_workers,
         store=store,
     )

@@ -9,12 +9,12 @@ detection rate at a fixed false-positive budget across the degree of
 damage — one curve per scheme, one panel per compromise fraction.
 
 Each localizer needs its own threshold-training pass (that is what makes
-the comparison meaningful), so the localizer axis dominates the cost; with
-``density_workers`` it fans out across worker processes exactly like the
-density axis of Figure 9, and with an artifact store attached every
-scheme's trained state persists independently (the artifact keys carry the
-localizer identity and the beacon fingerprint, so the schemes never share
-warm artifacts).
+the comparison meaningful), so the localizer axis dominates the cost;
+``workers`` fans the schemes over worker processes exactly like the
+density axis of Figure 9 (a single scheme fans its point grid instead),
+and with an artifact store attached every scheme's trained state persists
+independently (the artifact keys carry the localizer identity and the
+beacon fingerprint, so the schemes never share warm artifacts).
 
 Expected qualitative outcome: the coarser a scheme's benign localization
 error, the looser its trained thresholds and the lower its detection rate
@@ -24,19 +24,14 @@ baselines the latest.
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.core.evaluation import DetectionOutcome
 from repro.experiments.config import SimulationConfig
-from repro.experiments.figures.common import resolve_store_root
-from repro.localization.base import LOCALIZERS
-from repro.localization.beacons import BeaconSpec
+from repro.experiments.figures.common import _effective_beacons, session_axis_rates
 from repro.experiments.results import FigureResult, PanelResult, SeriesResult
 from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.session import LadSession
-from repro.experiments.sweep import FAN_OUT_ERRORS, SweepPoint
+from repro.experiments.sweep import SweepPoint
 
 __all__ = [
     "run",
@@ -96,66 +91,20 @@ def spec(
     ).scaled(scale)
 
 
-def _effective_beacons(scenario: ScenarioSpec) -> Optional[dict]:
-    """The beacon spec the sessions will actually deploy (for reporting).
-
-    Sessions running a beacon-based scheme fall back to the
-    :class:`BeaconSpec` defaults when the scenario carries none, so the
-    figure parameters record that effective spec instead of ``None``.
-    """
-    if scenario.beacons is not None:
-        return scenario.beacons.as_dict()
-    needs_beacons = any(
-        LOCALIZERS.get(name).requires_beacons
-        for name in scenario.localizer_values()
-    )
-    return BeaconSpec().as_dict() if needs_beacons else None
-
-
-def _localizer_rates(
-    args: Tuple[ScenarioSpec, str, Optional[str]],
-) -> Tuple[str, Dict[SweepPoint, DetectionOutcome]]:
-    """Detection rates of one localization scheme (its own training pass).
-
-    Module-level so the localizer fan-out can ship it to worker processes;
-    every stream inside is derived from the config seed and parameter
-    names, so the result is independent of where the schemes run.  Workers
-    re-open the artifact store by path (counters stay per-process, content
-    is shared).
-    """
-    scenario, localizer, store_root = args
-    session = scenario.session(localizer=localizer, store=store_root)
-    rates = session.sweep(workers=0).detection_rates(
-        scenario.points(), false_positive_rate=scenario.false_positive_rate
-    )
-    return localizer, rates
-
-
 def render(
     scenario: ScenarioSpec,
     *,
     session: Optional[LadSession] = None,
     workers: int = 0,
-    density_workers: int = 0,
     store=None,
 ) -> FigureResult:
     """Render figure L from an already-built scenario spec.
 
     The *session* argument is ignored (each localizer needs its own
     threshold training); it is accepted for interface uniformity with the
-    other figure renderers.
-
-    Parameters
-    ----------
-    workers:
-        Worker processes for the per-scheme ``(D, x)`` sweep (only used
-        when ``density_workers`` is off).
-    density_workers:
-        When ``> 1``, fan the *localizer axis* over this many worker
-        processes instead — every scheme's training pass is independent,
-        which is the axis worth parallelising here.  Results are identical
-        to the serial run; platforms without process support fall back to
-        the serial path with a warning.
+    other figure renderers.  *workers* fans the localization schemes (see
+    :func:`~repro.experiments.figures.common.session_axis_rates`); the
+    result is identical to the serial run.
     """
     del session
 
@@ -170,37 +119,13 @@ def render(
         },
     )
 
-    rates_at: Dict[str, Dict[SweepPoint, DetectionOutcome]] = {}
-    store_root = resolve_store_root(store)
-    tasks = [
-        (scenario, localizer, store_root)
-        for localizer in scenario.localizer_values()
-    ]
-    if density_workers > 1:
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(density_workers, len(tasks))
-            ) as pool:
-                rates_at = dict(pool.map(_localizer_rates, tasks))
-        except FAN_OUT_ERRORS as exc:
-            warnings.warn(
-                f"localizer fan-out unavailable on this platform ({exc!r}); "
-                "running the schemes serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            rates_at = {}
-    if not rates_at:
-        # Serial path: reuse the caller's store object (when given one) so
-        # its hit/miss counters aggregate across the schemes — the CLI's
-        # cache summary reads them.  Workers always re-open by path.
-        serial_store = store if store is not None else store_root
-        for localizer in scenario.localizer_values():
-            sess = scenario.session(localizer=localizer, store=serial_store)
-            rates_at[localizer] = sess.sweep(workers=workers).detection_rates(
-                scenario.points(),
-                false_positive_rate=scenario.false_positive_rate,
-            )
+    rates_at = session_axis_rates(
+        scenario,
+        "localizer",
+        scenario.localizer_values(),
+        workers=workers,
+        store=store,
+    )
 
     for fraction in scenario.fractions:
         panel = PanelResult(
@@ -241,7 +166,6 @@ def run(
     fractions: Sequence[float] = COMPROMISED_FRACTIONS,
     false_positive_rate: float = FALSE_POSITIVE_RATE,
     workers: int = 0,
-    density_workers: int = 0,
     store=None,
 ) -> FigureResult:
     """Reproduce figure L and return its series (see :func:`render`)."""
@@ -256,6 +180,5 @@ def run(
         ),
         session=simulation,
         workers=workers,
-        density_workers=density_workers,
         store=store,
     )

@@ -18,8 +18,8 @@ observation stays honest.  The Dec-* columns reproduce Figure L's
 ordering for every scheme including the new RSSI/TDOA localizers.
 
 Cost scales as ``len(localizers)`` training passes (each sweeping the
-full ``attacks × degrees × fractions`` grid); ``density_workers`` fans
-the localizer axis over worker processes exactly like Figure L, and an
+full ``attacks × degrees × fractions`` grid); ``workers`` fans the
+localizer axis over worker processes exactly like Figure L, and an
 attached artifact store keeps every scheme's trained state under its
 own modality-aware beacon fingerprint — cross-scheme artifacts are
 never shared.
@@ -27,18 +27,14 @@ never shared.
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.core.evaluation import DetectionOutcome
 from repro.experiments.config import SimulationConfig
-from repro.experiments.figures.common import resolve_store_root
-from repro.experiments.figures.figl import _effective_beacons
+from repro.experiments.figures.common import _effective_beacons, session_axis_rates
 from repro.experiments.results import FigureResult, PanelResult, SeriesResult
 from repro.experiments.scenario import ScenarioSpec
 from repro.experiments.session import LadSession
-from repro.experiments.sweep import FAN_OUT_ERRORS, SweepPoint
+from repro.experiments.sweep import SweepPoint
 
 __all__ = [
     "run",
@@ -105,50 +101,20 @@ def spec(
     ).scaled(scale)
 
 
-def _localizer_rates(
-    args: Tuple[ScenarioSpec, str, Optional[str]],
-) -> Tuple[str, Dict[SweepPoint, DetectionOutcome]]:
-    """Detection rates of one scheme over the full attack grid.
-
-    Module-level so the localizer fan-out can ship it to worker
-    processes; every stream inside is derived from the config seed and
-    parameter names, so the result is independent of where the schemes
-    run.  Workers re-open the artifact store by path (counters stay
-    per-process, content is shared).
-    """
-    scenario, localizer, store_root = args
-    session = scenario.session(localizer=localizer, store=store_root)
-    rates = session.sweep(workers=0).detection_rates(
-        scenario.points(), false_positive_rate=scenario.false_positive_rate
-    )
-    return localizer, rates
-
-
 def render(
     scenario: ScenarioSpec,
     *,
     session: Optional[LadSession] = None,
     workers: int = 0,
-    density_workers: int = 0,
     store=None,
 ) -> FigureResult:
     """Render figure M from an already-built scenario spec.
 
     The *session* argument is ignored (each localizer needs its own
-    threshold training); it is accepted for interface uniformity with
-    the other figure renderers.
-
-    Parameters
-    ----------
-    workers:
-        Worker processes for the per-scheme attack-grid sweep (only
-        used when ``density_workers`` is off).
-    density_workers:
-        When ``> 1``, fan the *localizer axis* over this many worker
-        processes instead — every scheme's training pass is independent,
-        which is the axis worth parallelising here.  Results are
-        identical to the serial run; platforms without process support
-        fall back to the serial path with a warning.
+    threshold training); it is accepted for interface uniformity with the
+    other figure renderers.  *workers* fans the localization schemes (see
+    :func:`~repro.experiments.figures.common.session_axis_rates`); the
+    result is identical to the serial run.
     """
     del session
 
@@ -164,37 +130,13 @@ def render(
         },
     )
 
-    rates_at: Dict[str, Dict[SweepPoint, DetectionOutcome]] = {}
-    store_root = resolve_store_root(store)
-    tasks = [
-        (scenario, localizer, store_root)
-        for localizer in scenario.localizer_values()
-    ]
-    if density_workers > 1:
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(density_workers, len(tasks))
-            ) as pool:
-                rates_at = dict(pool.map(_localizer_rates, tasks))
-        except FAN_OUT_ERRORS as exc:
-            warnings.warn(
-                f"localizer fan-out unavailable on this platform ({exc!r}); "
-                "running the schemes serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            rates_at = {}
-    if not rates_at:
-        # Serial path: reuse the caller's store object (when given one) so
-        # its hit/miss counters aggregate across the schemes — the CLI's
-        # cache summary reads them.  Workers always re-open by path.
-        serial_store = store if store is not None else store_root
-        for localizer in scenario.localizer_values():
-            sess = scenario.session(localizer=localizer, store=serial_store)
-            rates_at[localizer] = sess.sweep(workers=workers).detection_rates(
-                scenario.points(),
-                false_positive_rate=scenario.false_positive_rate,
-            )
+    rates_at = session_axis_rates(
+        scenario,
+        "localizer",
+        scenario.localizer_values(),
+        workers=workers,
+        store=store,
+    )
 
     for attack in scenario.attacks:
         for fraction in scenario.fractions:
@@ -240,7 +182,6 @@ def run(
     fractions: Sequence[float] = COMPROMISED_FRACTIONS,
     false_positive_rate: float = FALSE_POSITIVE_RATE,
     workers: int = 0,
-    density_workers: int = 0,
     store=None,
 ) -> FigureResult:
     """Reproduce figure M and return its series (see :func:`render`)."""
@@ -256,6 +197,5 @@ def run(
         ),
         session=simulation,
         workers=workers,
-        density_workers=density_workers,
         store=store,
     )

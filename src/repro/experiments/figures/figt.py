@@ -110,7 +110,6 @@ def render(
     *,
     session: Optional[LadSession] = None,
     workers: int = 0,
-    density_workers: int = 0,
     store=None,
 ) -> FigureResult:
     """Render figure T from an already-built scenario spec.
@@ -119,12 +118,8 @@ def render(
     (the figure default when the spec carries none) on the session's
     cached state; ``workers`` fans the points over worker processes with
     bit-identical results, and an attached store persists each point's
-    epoch record under the timeline fingerprint.  ``density_workers`` is
-    accepted for renderer-interface uniformity and ignored (the figure
-    has no density axis).
+    epoch record under the timeline fingerprint.
     """
-    del density_workers
-
     timeline = scenario.timeline or DEFAULT_TIMELINE
     session = resolve_session(session, spec=scenario, store=store)
     runner = session.temporal(timeline, workers=workers)
@@ -204,7 +199,6 @@ def run(
     fractions: Sequence[float] = COMPROMISED_FRACTIONS,
     false_positive_rate: float = FALSE_POSITIVE_RATE,
     workers: int = 0,
-    density_workers: int = 0,
     store=None,
 ) -> FigureResult:
     """Reproduce figure T and return its series (see :func:`render`)."""
@@ -219,6 +213,5 @@ def run(
         ),
         session=simulation,
         workers=workers,
-        density_workers=density_workers,
         store=store,
     )

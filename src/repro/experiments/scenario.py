@@ -244,7 +244,6 @@ class ScenarioSpec:
         figure_id: Optional[str] = None,
         session=None,
         workers: int = 0,
-        density_workers: int = 0,
         store: Union[ArtifactStore, str, None] = None,
     ):
         """Evaluate this spec end to end as one of the paper's figures.
@@ -262,7 +261,6 @@ class ScenarioSpec:
             figure_id=figure_id,
             session=session,
             workers=workers,
-            density_workers=density_workers,
             store=store,
         )
 

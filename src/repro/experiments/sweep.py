@@ -30,6 +30,11 @@ and embedded interpreters) degrade gracefully: the runner emits a
 ``RuntimeWarning`` and runs the identical serial path instead of crashing
 mid-sweep.
 
+:func:`run_tasks` is the one process fan-out of the package: the sweep
+runner, the temporal runner and the per-session figure engine
+(:mod:`repro.experiments.figures.common`) all hand it their task lists,
+so they share one pool set-up and one serial fallback policy.
+
 The figure drivers (:mod:`repro.experiments.figures`) all route their
 parameter grids through this runner.
 """
@@ -41,9 +46,12 @@ import itertools
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Callable,
+    ContextManager,
     Dict,
     Iterable,
     Iterator,
@@ -74,6 +82,7 @@ __all__ = [
     "SweepPoint",
     "SweepRunner",
     "attack_stream_name",
+    "run_tasks",
     "shard_of_point",
     "shard_points",
 ]
@@ -161,6 +170,58 @@ _WORKER_STATE: dict = {}
 FAN_OUT_ERRORS = (ImportError, NotImplementedError, OSError, BrokenProcessPool)
 
 
+def run_tasks(
+    fn: Callable,
+    tasks: Sequence,
+    workers: int = 0,
+    *,
+    worker_fn: Optional[Callable] = None,
+    worker_setup: Optional[Callable[[], ContextManager[tuple]]] = None,
+) -> Iterator:
+    """Yield ``fn(task)`` for every task, in task order.
+
+    ``workers <= 1`` runs a plain in-process loop.  Otherwise the tasks are
+    mapped over a process pool running *worker_fn* (default: *fn*); the
+    optional *worker_setup* is a zero-argument callable returning a context
+    manager that yields the pool's ``(initializer, initargs)`` and is held
+    open exactly as long as the pool (shared-memory segments live that
+    long).  A :data:`FAN_OUT_ERRORS` error at set-up or mid-stream emits
+    one ``RuntimeWarning`` and the tasks not yet yielded run through *fn*
+    in-process; tasks already yielded are never recomputed.  Callers must
+    make ``fn`` and ``worker_fn`` agree, so the result never depends on
+    which of the two ran.
+    """
+    tasks = list(tasks)
+    done = 0
+    if workers > 1 and tasks:
+        try:
+            with ExitStack() as stack:
+                initializer, initargs = (
+                    stack.enter_context(worker_setup())
+                    if worker_setup is not None
+                    else (None, ())
+                )
+                pool = stack.enter_context(
+                    ProcessPoolExecutor(
+                        max_workers=min(workers, len(tasks)),
+                        initializer=initializer,
+                        initargs=initargs,
+                    )
+                )
+                for result in pool.map(worker_fn or fn, tasks):
+                    yield result
+                    done += 1
+        except FAN_OUT_ERRORS as exc:
+            warnings.warn(
+                f"process fan-out unavailable on this platform ({exc!r}); "
+                "falling back to the serial path",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    for task in tasks[done:]:
+        yield fn(task)
+
+
 def _share_array(array: np.ndarray):
     """Copy *array* into a fresh shared-memory segment.
 
@@ -175,6 +236,16 @@ def _share_array(array: np.ndarray):
     view[...] = array
     meta = {"name": segment.name, "shape": array.shape, "dtype": str(array.dtype)}
     return segment, meta
+
+
+def _release(segments) -> None:
+    """Close and unlink shared-memory segments this process created."""
+    for segment in segments:
+        segment.close()
+        try:
+            segment.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
 
 
 def _attach_array(meta: dict):
@@ -435,8 +506,15 @@ class SweepRunner:
             # Publishing it heals a stale manifest as a side effect.
             manifest = SweepManifest.for_points(points, keys, done=done_keys)
             manifest.publish(store)
-        cold_scores = self._iter_cold_scores(
-            [points[i] for i in selected if i not in warm_indices]
+        # The store was consulted above (and results are published below),
+        # so the cold remainder is scored directly: via the shared-memory
+        # pool when requested, with run_tasks' serial fallback.
+        cold_scores = run_tasks(
+            self._compute_point,
+            [points[i] for i in selected if i not in warm_indices],
+            self._workers,
+            worker_fn=_score_point,
+            worker_setup=self._pool_state,
         )
         for i in selected:
             point = points[i]
@@ -447,12 +525,7 @@ class SweepRunner:
                     continue
                 # Vanished or corrupt since the probe (quarantined by the
                 # failed load): recompute this point inline.
-                scores = session._compute_attacked_scores(
-                    point.metric,
-                    point.attack,
-                    degree_of_damage=point.degree_of_damage,
-                    compromised_fraction=point.compromised_fraction,
-                )
+                scores = self._compute_point(point)
             else:
                 scores = next(cold_scores)
             if store is not None and keys[i] is not None:
@@ -461,35 +534,14 @@ class SweepRunner:
                     manifest.record_done(store, keys[i])
             yield point, scores
 
-    def _iter_cold_scores(
-        self, points: List[SweepPoint]
-    ) -> Iterator[np.ndarray]:
-        """Compute scores for store-missing points, in grid order.
-
-        The store was already consulted by :meth:`iter_attacked_scores`
-        (which also publishes the results), so this path scores directly —
-        via the pool when requested, with the usual serial fallback.
-        """
-        yielded = 0
-        if self._workers > 1 and points:
-            try:
-                for _point, scores in self._iter_parallel(points):
-                    yield scores
-                    yielded += 1
-            except FAN_OUT_ERRORS as exc:
-                warnings.warn(
-                    f"parallel sweep unavailable on this platform ({exc!r}); "
-                    "falling back to the serial path",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        for point in points[yielded:]:
-            yield self._simulation._compute_attacked_scores(
-                point.metric,
-                point.attack,
-                degree_of_damage=point.degree_of_damage,
-                compromised_fraction=point.compromised_fraction,
-            )
+    def _compute_point(self, point: SweepPoint) -> np.ndarray:
+        """Attacked scores of one point in-process, bypassing the store."""
+        return self._simulation._compute_attacked_scores(
+            point.metric,
+            point.attack,
+            degree_of_damage=point.degree_of_damage,
+            compromised_fraction=point.compromised_fraction,
+        )
 
     def _pool_payload(self):
         """Shared segments plus the metadata-only pool initializer payload.
@@ -520,12 +572,7 @@ class SweepRunner:
                 segments.append(segment)
                 shared_arrays[key] = meta
         except BaseException:
-            for segment in segments:
-                segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
+            _release(segments)
             raise
         payload = {
             "seed": session.config.seed,
@@ -539,25 +586,14 @@ class SweepRunner:
         }
         return segments, payload
 
-    def _iter_parallel(
-        self, points: List[SweepPoint]
-    ) -> Iterator[Tuple[SweepPoint, np.ndarray]]:
-        """Fan the grid over a pool; the shared state travels via shared memory."""
+    @contextmanager
+    def _pool_state(self):
+        """The pool's ``(initializer, initargs)``, holding the shared segments."""
         segments, payload = self._pool_payload()
         try:
-            with ProcessPoolExecutor(
-                max_workers=self._workers,
-                initializer=_init_worker,
-                initargs=(payload,),
-            ) as pool:
-                yield from zip(points, pool.map(_score_point, points))
+            yield _init_worker, (payload,)
         finally:
-            for segment in segments:
-                segment.close()
-                try:
-                    segment.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
+            _release(segments)
 
     def rocs(
         self,

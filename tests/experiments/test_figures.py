@@ -172,28 +172,11 @@ class TestFig9:
             fractions=(0.1, 0.3),
         )
         serial = fig9.run(**kwargs)
-        parallel = fig9.run(**kwargs, density_workers=2)
+        parallel = fig9.run(**kwargs, workers=2)
         for panel_serial, panel_parallel in zip(serial.panels, parallel.panels):
             for a, b in zip(panel_serial.series, panel_parallel.series):
                 assert a.label == b.label
                 assert a.y == b.y
-
-    def test_density_fan_out_falls_back_serially(self, tiny_config, monkeypatch):
-        from repro.experiments.figures import fig9 as fig9_module
-
-        def broken_pool(*args, **kwargs):
-            raise OSError("no process support")
-
-        monkeypatch.setattr(fig9_module, "ProcessPoolExecutor", broken_pool)
-        with pytest.warns(RuntimeWarning, match="running the densities serially"):
-            result = fig9_module.run(
-                config=tiny_config,
-                group_sizes=(40,),
-                degrees=(160.0,),
-                fractions=(0.1,),
-                density_workers=2,
-            )
-        assert result.figure_id == "fig9"
 
 
 class TestFigL:
@@ -225,7 +208,7 @@ class TestFigL:
             fractions=(0.1,),
         )
         serial = figl.run(**kwargs)
-        parallel = figl.run(**kwargs, density_workers=2)
+        parallel = figl.run(**kwargs, workers=2)
         for panel_serial, panel_parallel in zip(serial.panels, parallel.panels):
             for a, b in zip(panel_serial.series, panel_parallel.series):
                 assert a.label == b.label
@@ -290,7 +273,7 @@ class TestFigM:
             fractions=(0.1,),
         )
         serial = figm.run(**kwargs)
-        parallel = figm.run(**kwargs, density_workers=2)
+        parallel = figm.run(**kwargs, workers=2)
         for panel_serial, panel_parallel in zip(serial.panels, parallel.panels):
             for a, b in zip(panel_serial.series, panel_parallel.series):
                 assert a.label == b.label

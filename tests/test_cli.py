@@ -1,6 +1,7 @@
 """Tests for :mod:`repro.cli`."""
 
 import json
+import re
 
 import pytest
 
@@ -626,3 +627,22 @@ class TestSweepFiguresMode:
             ]
 
         assert series(cold) == series(warm)
+
+    def test_fig9_cache_counters_cover_every_density(self, capsys, tmp_path):
+        """fig9 trains one session per density; all of them count into the
+        CLI's store, so a cold run reports misses and a warm one hits."""
+        cache = tmp_path / "cache"
+        args = ["sweep", "--figures", "fig9", *self.ARGS, "--cache-dir", str(cache)]
+
+        def counts(text):
+            match = re.search(r"cache: (\d+) hit\(s\), (\d+) miss\(es\)", text)
+            assert match, text
+            return int(match.group(1)), int(match.group(2))
+
+        assert main(args) == 0
+        _, cold_misses = counts(capsys.readouterr().out)
+        assert cold_misses > 0
+        assert main(args) == 0
+        warm_hits, warm_misses = counts(capsys.readouterr().out)
+        assert warm_misses == 0
+        assert warm_hits >= 1
