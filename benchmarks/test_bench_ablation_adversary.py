@@ -99,15 +99,20 @@ def test_adversary_strength_ablation(benchmark):
     assert rates["naive silence attack"] <= rates["no adversary on detection"] + 0.05
 
 
-def test_taint_batch_vectorised_speedup():
-    """Vectorised taint_batch at 512 victims: bit-identical, >= 5x."""
-    rng = np.random.default_rng(20050404)
-    num_victims, n_groups = 512, 100
-    group_size = 40
-    honest = np.round(rng.uniform(0.0, group_size, size=(num_victims, n_groups)))
-    expected = rng.uniform(0.0, group_size, size=(num_victims, n_groups))
-    budgets = [int(b) for b in rng.integers(0, 2 * group_size, size=num_victims)]
-    adversary = GreedyMetricMinimizer("diff", "dec_bounded")
+def _best_time(fn, repeats):
+    """Best wall time of *repeats* calls of *fn* and the last result."""
+    best, result = np.inf, None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def _loop_vs_batch(name, adversary, honest, expected, budgets, group_size):
+    """Time the per-row :meth:`taint` loop against one :meth:`taint_batch`,
+    assert bit-identical outputs and record the speedup."""
+    num_victims, n_groups = honest.shape
 
     def per_row_loop():
         return np.vstack(
@@ -128,21 +133,13 @@ def test_taint_batch_vectorised_speedup():
     batched()
     per_row_loop()
 
-    loop_best, loop_result = np.inf, None
-    for _ in range(3):
-        start = time.perf_counter()
-        loop_result = per_row_loop()
-        loop_best = min(loop_best, time.perf_counter() - start)
-    batch_best, batch_result = np.inf, None
-    for _ in range(5):
-        start = time.perf_counter()
-        batch_result = batched()
-        batch_best = min(batch_best, time.perf_counter() - start)
+    loop_best, loop_result = _best_time(per_row_loop, 3)
+    batch_best, batch_result = _best_time(batched, 5)
 
     np.testing.assert_array_equal(batch_result, loop_result)
     speedup = loop_best / batch_best
     record_benchmark(
-        "taint_batch_vectorised",
+        name,
         speedup=speedup,
         loop_seconds=loop_best,
         batch_seconds=batch_best,
@@ -150,8 +147,39 @@ def test_taint_batch_vectorised_speedup():
         n_groups=n_groups,
     )
     print(
-        f"\ntaint_batch: loop {loop_best * 1000:.1f} ms, "
+        f"\n{name}: loop {loop_best * 1000:.1f} ms, "
         f"batch {batch_best * 1000:.1f} ms, speedup {speedup:.1f}x "
         f"({num_victims} victims)"
+    )
+    return speedup
+
+
+def test_taint_batch_vectorised_speedup():
+    """Vectorised taint_batch at 512 victims: bit-identical, >= 5x."""
+    rng = np.random.default_rng(20050404)
+    num_victims, n_groups = 512, 100
+    group_size = 40
+    honest = np.round(rng.uniform(0.0, group_size, size=(num_victims, n_groups)))
+    expected = rng.uniform(0.0, group_size, size=(num_victims, n_groups))
+    budgets = [int(b) for b in rng.integers(0, 2 * group_size, size=num_victims)]
+    adversary = GreedyMetricMinimizer("diff", "dec_bounded")
+    speedup = _loop_vs_batch(
+        "taint_batch_vectorised", adversary, honest, expected, budgets, group_size
+    )
+    assert speedup >= 5.0
+
+
+def test_taint_batch_probability_speedup():
+    """Lock-step Probability greedy at 100 victims x 100 groups:
+    bit-identical to the per-row loop, >= 5x."""
+    rng = np.random.default_rng(20050405)
+    num_victims, n_groups = 100, 100
+    group_size = 40
+    honest = np.round(rng.uniform(0.0, group_size, size=(num_victims, n_groups)))
+    expected = rng.uniform(0.0, group_size, size=(num_victims, n_groups))
+    budgets = [int(b) for b in rng.integers(0, group_size, size=num_victims)]
+    adversary = GreedyMetricMinimizer("probability", "dec_bounded")
+    speedup = _loop_vs_batch(
+        "taint_batch_probability", adversary, honest, expected, budgets, group_size
     )
     assert speedup >= 5.0

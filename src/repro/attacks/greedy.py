@@ -21,7 +21,9 @@ procedure for every (attack class x metric) combination:
   ``o_i`` with mode ``⌊(m+1)·g_i⌋``; the adversary pushes every entry toward
   its mode (free increases under Dec-Bounded) and then spends the decrease
   budget one node at a time on whichever group currently has the smallest
-  probability, stopping when the minimum can no longer be improved.
+  probability (the lowest index on ties), stopping when the minimum can no
+  longer be improved.  All victims of a batch take these steps in
+  lock-step, so each step is one row-wise argmin.
 
 The tainted observations are real-valued by default (the paper's greedy sets
 ``o_i = µ_i`` exactly); ``integer_mode=True`` restricts the adversary to
@@ -49,27 +51,19 @@ from repro.utils.stats import binomial_log_pmf, binomial_mode
 __all__ = ["GreedyMetricMinimizer", "taint_observation"]
 
 
-def _allocate_decreases(
-    honest: np.ndarray, targets: np.ndarray, budget
-) -> np.ndarray:
-    """Lower entries of *honest* toward *targets* spending at most *budget*.
+def _allocate_decreases(o: np.ndarray, t: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lower each row of *o* toward *t* spending at most that row's budget *b*.
 
-    Entries where ``honest <= target`` are untouched.  The budget is spent on
-    the largest gaps first; the final entry touched may receive a fractional
+    Entries where ``o <= t`` are untouched.  The budget is spent on the
+    largest gaps first; the final entry touched may receive a fractional
     decrease so that the full budget is used exactly when it is binding.
 
-    Vectorised over victims: *honest*/*targets* may be ``(n,)`` vectors with
-    a scalar budget or ``(k, n)`` batches with one budget per row.  Both
-    shapes run the identical numpy operations row-wise (stable descending
-    sort, exclusive prefix sums, clipped spends), so the batch result is
-    bit-for-bit the stack of the per-row results.
+    Vectorised over victims: *o*/*t* are ``(k, n)`` batches and *b* holds
+    one budget per row.  Every operation is row-wise (stable descending
+    sort, exclusive prefix sums, clipped spends), so each row's result is
+    independent of the others.
     """
-    honest = np.asarray(honest, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    single = honest.ndim == 1
-    o = np.atleast_2d(honest)
-    t = np.atleast_2d(targets)
-    b = np.asarray(budget, dtype=np.float64).reshape(-1, 1)
+    b = b.reshape(-1, 1)
     gaps = np.clip(o - t, 0.0, None)
     totals = gaps.sum(axis=1, keepdims=True)
 
@@ -95,7 +89,7 @@ def _allocate_decreases(
         spends = np.empty_like(spends_sorted)
         np.put_along_axis(spends, order, spends_sorted, axis=1)
         out[binding] = o[binding] - spends
-    return out[0] if single else out
+    return out
 
 
 @dataclass
@@ -134,6 +128,8 @@ class GreedyMetricMinimizer:
     ) -> np.ndarray:
         """Return the metric-minimising tainted observation for one victim.
 
+        Runs :meth:`taint_batch` on a batch of one row.
+
         Parameters
         ----------
         honest_observation:
@@ -151,22 +147,9 @@ class GreedyMetricMinimizer:
         mu = np.asarray(expected_observation, dtype=np.float64)
         if a.shape != mu.shape or a.ndim != 1:
             raise ValueError("observations must be matching 1-D vectors")
-        x = float(int(budget))
-
-        if isinstance(self.metric, DiffMetric):
-            tainted = self._taint_diff(a, mu, x, group_size)
-        elif isinstance(self.metric, AddAllMetric):
-            tainted = self._taint_add_all(a, mu, x)
-        elif isinstance(self.metric, ProbabilityMetric):
-            if group_size is None:
-                raise ValueError("group_size is required for the Probability metric")
-            tainted = self._taint_probability(a, mu, x, int(group_size))
-        else:  # pragma: no cover - future metrics fall back to "no taint"
-            tainted = a.copy()
-
-        if self.integer_mode:
-            tainted = self._round_feasible(a, tainted, x)
-        return tainted
+        return self.taint_batch(
+            a[np.newaxis], mu[np.newaxis], [budget], group_size=group_size
+        )[0]
 
     def taint_batch(
         self,
@@ -176,14 +159,13 @@ class GreedyMetricMinimizer:
         *,
         group_size: Optional[int] = None,
     ) -> np.ndarray:
-        """Taint a whole batch of victims at once.
+        """Taint a whole ``(k, n_groups)`` batch of victims at once.
 
-        For the Diff and Add-all metrics the allocation runs as one 2-D
-        :func:`_allocate_decreases` over all victims with per-row budgets —
-        bit-for-bit equal to calling :meth:`taint` per row, but without the
-        Python-level loop.  The Probability metric's sequential greedy (and
-        any future metric without a closed-form batch) falls back to the
-        per-row path.
+        Every metric runs one shape-generic kernel over all victims with
+        per-row budgets: a 2-D :func:`_allocate_decreases` for Diff and
+        Add-all, and the lock-step greedy of :meth:`_taint_probability` for
+        the Probability metric.  Each row's result depends on that row only,
+        so the batch is bit-for-bit the stack of one-row :meth:`taint` calls.
         """
         honest = np.asarray(honest_observations, dtype=np.float64)
         expected = np.asarray(expected_observations, dtype=np.float64)
@@ -191,76 +173,86 @@ class GreedyMetricMinimizer:
             raise ValueError("batch inputs must be matching (k, n_groups) arrays")
         if len(budgets) != honest.shape[0]:
             raise ValueError("need one budget per victim")
+        x = np.array([float(int(b)) for b in budgets], dtype=np.float64)
 
-        if isinstance(self.metric, (DiffMetric, AddAllMetric)):
-            x = np.array([float(int(b)) for b in budgets], dtype=np.float64)
-            if isinstance(self.metric, DiffMetric):
-                tainted = self._taint_diff(honest, expected, x, group_size)
-            else:
-                tainted = self._taint_add_all(honest, expected, x)
-            if self.integer_mode:
-                for row in range(honest.shape[0]):
-                    tainted[row] = self._round_feasible(
-                        honest[row], tainted[row], x[row]
-                    )
-            return tainted
+        if isinstance(self.metric, DiffMetric):
+            tainted = self._taint_diff(honest, expected, x, group_size)
+        elif isinstance(self.metric, AddAllMetric):
+            tainted = self._taint_add_all(honest, expected, x)
+        elif isinstance(self.metric, ProbabilityMetric):
+            if group_size is None:
+                raise ValueError("group_size is required for the Probability metric")
+            tainted = self._taint_probability(honest, expected, x, int(group_size))
+        else:  # pragma: no cover - future metrics fall back to "no taint"
+            tainted = honest.copy()
 
-        out = np.empty_like(honest)
-        for row in range(honest.shape[0]):
-            out[row] = self.taint(
-                honest[row], expected[row], budgets[row], group_size=group_size
-            )
-        return out
+        if self.integer_mode:
+            for row in range(honest.shape[0]):
+                tainted[row] = self._round_feasible(honest[row], tainted[row], x[row])
+        return tainted
 
-    # -- per-metric strategies ------------------------------------------------
+    # -- per-metric strategies (each over a (k, n) batch) ----------------------
 
     def _taint_diff(
-        self, a: np.ndarray, mu: np.ndarray, x, group_size: Optional[int]
+        self, a: np.ndarray, mu: np.ndarray, x: np.ndarray, group_size: Optional[int]
     ) -> np.ndarray:
-        """Diff-metric taint; shape-generic (one victim or a ``(k, n)`` batch)."""
         if self.attack_class.allows_increase:
             # Free increases: match mu wherever the honest count is short.
             upper = float(group_size) if group_size is not None else np.inf
-            o = np.where(mu > a, np.minimum(mu, upper), a.astype(np.float64))
+            o = np.where(mu > a, np.minimum(mu, upper), a)
         else:
-            o = a.astype(np.float64).copy()
+            o = a.copy()
         return _allocate_decreases(o, np.minimum(mu, o), x)
 
-    def _taint_add_all(self, a: np.ndarray, mu: np.ndarray, x) -> np.ndarray:
+    def _taint_add_all(
+        self, a: np.ndarray, mu: np.ndarray, x: np.ndarray
+    ) -> np.ndarray:
         # Increases never help; only decreases toward mu matter.
-        # Shape-generic like _taint_diff.
-        return _allocate_decreases(a.astype(np.float64), np.minimum(mu, a), x)
+        return _allocate_decreases(a, np.minimum(mu, a), x)
 
     def _taint_probability(
-        self, a: np.ndarray, mu: np.ndarray, x: float, group_size: int
+        self, a: np.ndarray, mu: np.ndarray, x: np.ndarray, group_size: int
     ) -> np.ndarray:
+        """Spend each row's budget one node at a time, all rows in lock-step.
+
+        Per step, every row with budget left lowers its eligible group (one
+        above its mode) with the smallest current log-pmf, the lowest index
+        on ties, by ``min(1, o - mode, remaining)``.  Only the entries just
+        touched are re-scored.  A row stops when its budget is spent or no
+        group is eligible.
+        """
         m = float(group_size)
         probs = np.clip(mu / m, 0.0, 1.0)
         modes = binomial_mode(m, probs)
 
-        o = a.astype(np.float64).copy()
+        o = a.copy()
         if self.attack_class.allows_increase:
             o = np.where(modes > o, modes, o)
+        remaining = x.copy()
 
-        remaining = x
-        # Spend the decrease budget one node at a time on the group whose
-        # probability is currently the smallest, as long as decreasing that
-        # group moves it toward its mode.
-        while remaining > 0:
-            log_pmf = binomial_log_pmf(o, m, probs)
-            order = np.argsort(log_pmf)
-            progressed = False
-            for idx in order:
-                if o[idx] > modes[idx] and o[idx] > 0:
-                    step = min(1.0, o[idx] - modes[idx], remaining)
-                    if step <= 0:
-                        continue
-                    o[idx] -= step
-                    remaining -= step
-                    progressed = True
-                    break
-            if not progressed:
+        # Only groups above their mode (hence above zero) are eligible.  The
+        # others score +inf so the row-wise argmin never picks them; an
+        # eligible log-pmf is finite or -inf, so a row whose argmin lands on
+        # +inf has nothing left to decrease.
+        log_pmf = np.where(o > modes, binomial_log_pmf(o, m, probs), np.inf)
+        rows = np.flatnonzero(remaining > 0)
+        while rows.size:
+            cols = np.argmin(log_pmf[rows], axis=1)
+            open_rows = log_pmf[rows, cols] < np.inf
+            rows, cols = rows[open_rows], cols[open_rows]
+            if not rows.size:
                 break
+            counts, row_modes = o[rows, cols], modes[rows, cols]
+            step = np.minimum(np.minimum(1.0, counts - row_modes), remaining[rows])
+            counts = counts - step
+            o[rows, cols] = counts
+            remaining[rows] -= step
+            log_pmf[rows, cols] = np.where(
+                counts > row_modes,
+                binomial_log_pmf(counts, m, probs[rows, cols]),
+                np.inf,
+            )
+            rows = rows[remaining[rows] > 0]
         return o
 
     # -- helpers ---------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from repro.attacks.constraints import DecBoundedAttack, DecOnlyAttack
 from repro.attacks.greedy import GreedyMetricMinimizer, taint_observation
 from repro.core.metrics import AddAllMetric, DiffMetric, ProbabilityMetric
+from repro.utils.stats import binomial_log_pmf, binomial_mode
 
 GROUP_SIZE = 30
 
@@ -245,26 +246,6 @@ class TestIntegerModeAndBatch:
         )
         np.testing.assert_array_equal(batch, loop)
 
-    def test_probability_batch_still_matches_loop(self):
-        """The probability metric keeps the per-row greedy; the batch path
-        must stay the trivial loop wrapper."""
-        rng = np.random.default_rng(99)
-        k, n = 8, 10
-        honest = np.round(rng.uniform(0.0, 20.0, size=(k, n)))
-        expected = rng.uniform(0.0, 20.0, size=(k, n))
-        budgets = [int(b) for b in rng.integers(0, 30, size=k)]
-        adversary = GreedyMetricMinimizer("probability", "dec_bounded")
-        batch = adversary.taint_batch(honest, expected, budgets, group_size=GROUP_SIZE)
-        loop = np.vstack(
-            [
-                adversary.taint(
-                    honest[i], expected[i], budgets[i], group_size=GROUP_SIZE
-                )
-                for i in range(k)
-            ]
-        )
-        np.testing.assert_array_equal(batch, loop)
-
     def test_functional_wrapper(self, scenario):
         honest, expected = scenario
         out = taint_observation(
@@ -278,3 +259,136 @@ class TestIntegerModeAndBatch:
         adversary = GreedyMetricMinimizer("diff", "dec_bounded")
         with pytest.raises(ValueError):
             adversary.taint(honest, expected[:-1], 5)
+
+
+def _naive_probability_taint(a, mu, x, group_size, allows_increase):
+    """Scalar reference for one victim: one node per step, full re-score.
+
+    Each step re-scores every group and lowers the eligible group (above
+    its mode and above zero) with the smallest log-pmf; the stable sort
+    breaks ties toward the lowest index.
+    """
+    m = float(group_size)
+    probs = np.clip(mu / m, 0.0, 1.0)
+    modes = binomial_mode(m, probs)
+    o = a.astype(np.float64).copy()
+    if allows_increase:
+        o = np.where(modes > o, modes, o)
+    remaining = float(x)
+    while remaining > 0:
+        log_pmf = binomial_log_pmf(o, m, probs)
+        for idx in np.argsort(log_pmf, kind="stable"):
+            if o[idx] > modes[idx] and o[idx] > 0:
+                step = min(1.0, o[idx] - modes[idx], remaining)
+                o[idx] -= step
+                remaining -= step
+                break
+        else:
+            break
+    return o
+
+
+def _probability_case(case):
+    """``(honest, expected, budgets)`` for one batch shape of the greedy."""
+    rng = np.random.default_rng(20050404)
+    k, n = 48, 16
+    honest = np.round(rng.uniform(0.0, GROUP_SIZE, size=(k, n)))
+    expected = rng.uniform(0.0, GROUP_SIZE, size=(k, n))
+    budgets = [int(b) for b in rng.integers(0, 40, size=k)]
+    if case == "real_valued":
+        honest = rng.uniform(0.0, GROUP_SIZE, size=(k, n))
+    elif case == "duplicated_columns":
+        # Equal (o, µ) columns tie on log-pmf in every step.
+        honest[:, 1::2] = honest[:, ::2]
+        expected[:, 1::2] = expected[:, ::2]
+    elif case == "zero_budgets":
+        budgets = [0] * k
+    elif case == "budget_over_slack":
+        budgets = [10 * n * GROUP_SIZE] * k
+    elif case == "no_eligible_group":
+        # Every honest count already sits at or below its mode.
+        modes = binomial_mode(float(GROUP_SIZE), expected / GROUP_SIZE)
+        honest = np.minimum(honest, modes)
+    elif case == "degenerate_probabilities":
+        # µ = 0 (p = 0) and µ = m (p = 1) groups: log-pmf is -inf off their
+        # single support point.
+        expected[:, :4] = 0.0
+        expected[:, 4:8] = float(GROUP_SIZE)
+    return honest, expected, budgets
+
+
+class TestProbabilityBatchKernel:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "random",
+            "real_valued",
+            "duplicated_columns",
+            "zero_budgets",
+            "budget_over_slack",
+            "no_eligible_group",
+            "degenerate_probabilities",
+        ],
+    )
+    @pytest.mark.parametrize("attack", ["dec_bounded", "dec_only"])
+    @pytest.mark.parametrize("integer_mode", [False, True])
+    def test_batch_equals_naive_oracle_bitwise(self, case, attack, integer_mode):
+        """The lock-step batch greedy reproduces the scalar per-victim
+        greedy bit for bit, ties included."""
+        honest, expected, budgets = _probability_case(case)
+        adversary = GreedyMetricMinimizer(
+            "probability", attack, integer_mode=integer_mode
+        )
+        batch = adversary.taint_batch(
+            honest, expected, budgets, group_size=GROUP_SIZE
+        )
+        oracle = np.vstack(
+            [
+                _naive_probability_taint(
+                    honest[i],
+                    expected[i],
+                    budgets[i],
+                    GROUP_SIZE,
+                    adversary.attack_class.allows_increase,
+                )
+                for i in range(len(budgets))
+            ]
+        )
+        if integer_mode:
+            oracle = np.vstack(
+                [
+                    GreedyMetricMinimizer._round_feasible(
+                        honest[i], oracle[i], float(budgets[i])
+                    )
+                    for i in range(len(budgets))
+                ]
+            )
+        np.testing.assert_array_equal(batch, oracle)
+
+    def test_known_answer_tie_and_fractional_last_step(self):
+        """Three groups, m = 10, budget 3, hand-computed.
+
+        Group 2 (µ = 0, so p = 0 and mode 0) has log-pmf -inf at 0.5 and
+        goes first: 0.5 -> 0 spends 0.5.  Groups 0 and 1 (µ = 2, p = 0.2,
+        mode ⌊11·0.2⌋ = 2) tie at 4; the lower index moves: 4 -> 3.  Group 1
+        is now the least likely (pmf(4) < pmf(3)): 4 -> 3.  They tie again
+        at 3; group 0 gets the remaining 0.5: 3 -> 2.5.
+        """
+        honest = np.array([4.0, 4.0, 0.5])
+        expected = np.array([2.0, 2.0, 0.0])
+        probs = expected / 10.0
+        log_pmf = binomial_log_pmf(np.array([4.0, 3.0, 0.5]), 10.0, probs)
+        assert log_pmf[2] == -np.inf and log_pmf[0] < log_pmf[1]
+        for attack in ("dec_bounded", "dec_only"):
+            tainted = GreedyMetricMinimizer("probability", attack).taint(
+                honest, expected, 3, group_size=10
+            )
+            np.testing.assert_array_equal(tainted, [2.5, 3.0, 0.0])
+
+    def test_empty_batch_still_requires_group_size(self):
+        adversary = GreedyMetricMinimizer("probability", "dec_bounded")
+        with pytest.raises(ValueError, match="group_size"):
+            adversary.taint_batch(np.empty((0, 5)), np.empty((0, 5)), [])
+        assert adversary.taint_batch(
+            np.empty((0, 5)), np.empty((0, 5)), [], group_size=GROUP_SIZE
+        ).shape == (0, 5)

@@ -155,20 +155,68 @@ class TestAttackProperties:
     @given(
         obs=observation_arrays,
         budget=st.integers(min_value=0, max_value=60),
-        metric=st.sampled_from(["diff", "add_all"]),
+        metric=st.sampled_from(["diff", "add_all", "probability"]),
     )
     def test_greedy_taint_never_increases_metric(self, obs, budget, metric):
         """Attacking can only make the metric smaller or equal — otherwise
-        the adversary would simply not attack."""
+        the adversary would simply not attack.
+
+        For the Probability metric this holds on whole-node counts: every
+        step moves one count toward its binomial mode, which never lowers
+        that group's pmf.  The Gamma-generalised pmf of a real-valued count
+        can peak off the integer mode, so real counts are rounded first.
+        """
         rng = np.random.default_rng(7)
         expected = rng.uniform(0, 20, size=obs.shape)
+        if metric == "probability":
+            obs = np.round(obs)
         adversary = GreedyMetricMinimizer(metric, "dec_bounded")
         tainted = adversary.taint(obs, expected, budget, group_size=100)
-        metric_obj = DiffMetric() if metric == "diff" else AddAllMetric()
-        assert metric_obj.compute(
-            tainted,
-            expected,
-        ) <= metric_obj.compute(obs, expected) + 1e-9
+        score = adversary.metric.compute
+        assert score(tainted, expected, group_size=100) <= score(
+            obs, expected, group_size=100
+        ) + 1e-9
+
+    @_SETTINGS
+    @given(
+        data=st.data(),
+        victims=st.integers(min_value=0, max_value=6),
+        groups=st.integers(min_value=1, max_value=12),
+        attack=st.sampled_from(["dec_bounded", "dec_only"]),
+    )
+    def test_probability_taint_batch_equals_stacked_taint(
+        self, data, victims, groups, attack
+    ):
+        """The lock-step batch greedy is the stack of one-victim greedies."""
+        group_size = 40
+        counts = st.floats(min_value=0.0, max_value=float(group_size))
+        honest = data.draw(hnp.arrays(np.float64, (victims, groups), elements=counts))
+        # Up to 1.5 m so that some groups clip to p = 1.
+        expected = data.draw(
+            hnp.arrays(
+                np.float64,
+                (victims, groups),
+                elements=st.floats(min_value=0.0, max_value=1.5 * group_size),
+            )
+        )
+        budgets = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=80),
+                min_size=victims,
+                max_size=victims,
+            )
+        )
+        adversary = GreedyMetricMinimizer("probability", attack)
+        batch = adversary.taint_batch(
+            honest, expected, budgets, group_size=group_size
+        )
+        stacked = np.array(
+            [
+                adversary.taint(h, e, b, group_size=group_size)
+                for h, e, b in zip(honest, expected, budgets)
+            ]
+        ).reshape(victims, groups)
+        np.testing.assert_array_equal(batch, stacked)
 
     @_SETTINGS
     @given(obs=observation_arrays, budget=st.integers(min_value=0, max_value=30))
